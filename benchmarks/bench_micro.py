@@ -54,7 +54,6 @@ from repro.experiments.harness import (
     measure_updates,
     scaled,
 )
-from repro.rtree.base import MIRROR_QUERY_STREAK
 from repro.rtree.geometry import Rect
 from repro.rtree.node import IndexEntry, LeafEntry, Node
 from repro.storage.buffer import BufferPool
@@ -296,12 +295,14 @@ def bench_end_to_end(metrics: Dict, suffix: str = "", obs=None) -> None:
     }
     # Unmeasured warm-up on a *different* query seed: a sustained query
     # phase amortises away its one-time costs — per-entry-count struct
-    # kernels compiled on first decode, and the query mirror built after
-    # MIRROR_QUERY_STREAK mutation-free searches — so the measured stream
-    # reports the steady-state per-query cost rather than charging those
-    # setup costs to whichever few queries happen to run first.
+    # kernels compiled on first decode, and the query mirror built once a
+    # mutation-free streak has touched as many nodes as the tree has
+    # pages (every search touches at least one, so num_pages() + 8
+    # searches always get there) — so the measured stream reports the
+    # steady-state per-query cost rather than charging those setup costs
+    # to whichever few queries happen to run first.
     for window in RangeQueryGenerator(seed=7).queries(
-        MIRROR_QUERY_STREAK + 8
+        tree.buffer.disk.num_pages() + 8
     ):
         tree.search(window)
     n_queries = scaled(2000)
@@ -393,7 +394,7 @@ def _ab_pass(
         # stride, so the measured slices reflect sampled steady state.
         for tree in trees:
             for window in RangeQueryGenerator(seed=7).queries(
-                MIRROR_QUERY_STREAK + 8
+                tree.buffer.disk.num_pages() + 8
             ):
                 tree.search(window)
         qstreams = [

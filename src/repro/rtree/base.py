@@ -57,12 +57,6 @@ HOT_PATH = True
 
 SplitFunction = Callable[[Sequence, int], Tuple[list, list]]
 
-#: Consecutive mutation-free range searches before a query mirror is built.
-#: Hysteresis: mixed update/query phases never pay the build walk, while a
-#: query burst (the paper's range-query experiments) amortises one build
-#: over hundreds of windows.
-MIRROR_QUERY_STREAK = 16
-
 #: Capture sampling (``RTreeBase._obs_query_end`` / ``_obs_update_end``).
 #: A sampled operation completing faster than the threshold doubles the
 #: capture stride (up to the cap); a slow one resets it to 1.  Steady
@@ -152,10 +146,13 @@ class RTreeBase:
 
         #: Query mirror state (see :mod:`repro.rtree.mirror`).  The mirror
         #: is valid only while its captured buffer version matches; the
-        #: streak counts consecutive range searches at one version.
+        #: streak sums the nodes touched by traversals at one version.
         self._mirror = None
         self._mirror_streak = 0
         self._mirror_streak_version = -1
+        #: Mirrors built over the tree's lifetime (a plain int that
+        #: ``attach_obs`` exposes as the ``tree.mirror_builds`` gauge).
+        self.mirror_builds = 0
 
         #: Observability handle (None = disabled).  The protocol entry
         #: points (update/query/kNN) guard on it, so the un-instrumented
@@ -241,6 +238,9 @@ class RTreeBase:
                 "tree.query_leaf_io", self._IO_BUCKETS
             )
             reg.gauge("tree.height").set_function(lambda: self.height)
+            reg.gauge("tree.mirror_builds").set_function(
+                lambda: float(self.mirror_builds)
+            )
             self._obs_c_batches = reg.counter("tree.batches")
             self._obs_c_batch_ops = reg.counter("tree.batch_ops")
             self._obs_c_batch_deduped = reg.counter("tree.batch_deduped")
@@ -852,14 +852,20 @@ class RTreeBase:
         selectively, so a leaf with no hits never builds a single Python
         object.
 
-        After :data:`MIRROR_QUERY_STREAK` consecutive mutation-free range
-        searches the tree builds a :class:`~repro.rtree.mirror.QueryMirror`
-        and answers from it instead of descending — same entries, and the
-        same buffered leaf reads are still charged (one per leaf whose
-        directory entry intersects the window), so every I/O metric is
-        unchanged.  Any mutation invalidates the mirror via the buffer
-        version counter.  Entry *order* may differ between the two paths;
-        both are deterministic, neither is part of the API.
+        The tree answers from a :class:`~repro.rtree.mirror.QueryMirror`
+        instead of descending once a mutation-free streak has already
+        paid for one: every traversal adds the nodes it touched to the
+        streak, and a later query at the same buffer version builds the
+        mirror once that total reaches the tree's page count — the pages
+        the build walk reads (rent-or-buy).  Mixed traffic therefore
+        never pays for a build it cannot amortise, while a read-only
+        burst builds one early.  Mirror answers are the same entries,
+        and the same buffered leaf reads are still charged (one per leaf
+        whose directory entry intersects the window), so every I/O
+        metric is unchanged.  Any mutation invalidates the mirror via
+        the buffer version counter.  Entry *order* may differ between
+        the two paths; both are deterministic, neither is part of the
+        API.
         """
         buffer = self.buffer
         wx1, wy1 = window.xmin, window.ymin
@@ -870,15 +876,12 @@ class RTreeBase:
             self._mirror = mirror = None
             if version != self._mirror_streak_version:
                 self._mirror_streak_version = version
-                self._mirror_streak = 1
-            else:
-                self._mirror_streak += 1
-                if self._mirror_streak >= MIRROR_QUERY_STREAK:
-                    from .mirror import build_mirror
+                self._mirror_streak = 0
+            elif self._mirror_streak >= buffer.disk.num_pages():
+                from .mirror import build_mirror
 
-                    self._mirror = mirror = build_mirror(
-                        buffer, self.root_id
-                    )
+                self._mirror = mirror = build_mirror(buffer, self.root_id)
+                self.mirror_builds += 1
         self._served_by_mirror = mirror is not None
         if mirror is not None:
             leaf_ids, results = mirror.search(wx1, wy1, wx2, wy2)
@@ -892,10 +895,12 @@ class RTreeBase:
                 buffer.charge_leaf_reads(leaf_ids)
             return results
         results: List[LeafEntry] = []
+        touched = 0
         with buffer.operation():
             stack = [self.root_id]
             while stack:
                 node = buffer.get_node(stack.pop())
+                touched += 1
                 hits = kernels.intersect_indices(
                     node.coord_block(), wx1, wy1, wx2, wy2
                 )
@@ -906,6 +911,7 @@ class RTreeBase:
                 else:
                     entries = node.entries
                     stack.extend(entries[i].child_id for i in hits)
+        self._mirror_streak += touched
         return results
 
     def nearest_entries(self, x: float, y: float, k: int) -> List[LeafEntry]:

@@ -29,9 +29,13 @@ Contract with the rest of the system:
   so building the mirror never shows up in any measured I/O.
 * **Freshness by version.**  The mirror records
   :attr:`~repro.storage.buffer.BufferPool.version` at build time; callers
-  must compare it before use and rebuild after any mutation.  The tree
-  only builds a mirror after a streak of mutation-free queries
-  (hysteresis), so update-heavy phases never pay the build cost.
+  must compare it before use and rebuild after any mutation.
+* **Rent before buying.**  The tree builds a mirror only once the
+  traversals of one mutation-free query streak have together touched as
+  many nodes as the tree has pages — the pages a build walks — so
+  traffic whose mutations keep breaking the streak never pays for a
+  build it cannot amortise.  The threshold is the tree's own page count,
+  not a tuning constant.
 
 Entry rows reference the materialised :class:`~repro.rtree.node.LeafEntry`
 objects directly, so a hit costs a list append — results carry the same

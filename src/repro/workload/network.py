@@ -18,13 +18,116 @@ parameter), both of which this substitute preserves — see DESIGN.md.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
-from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
+from collections import deque
+from itertools import count
+from typing import Callable, Dict, Iterator, List, Sequence, Set, Tuple
 
 Point = Tuple[float, float]
+
+
+class RoadGraph:
+    """A minimal undirected graph: an insertion-ordered adjacency dict.
+
+    Node order, neighbour order and :meth:`edges` order follow insertion
+    exactly as ``networkx.Graph`` does (a re-added edge moves to the end
+    of both endpoints' neighbour lists), so a network built here yields
+    the same workload streams as one built on ``networkx.Graph``.
+    """
+
+    def __init__(self) -> None:
+        self._adj: Dict[int, Dict[int, None]] = {}
+
+    def add_node(self, node: int) -> None:
+        self._adj.setdefault(node, {})
+
+    def add_edge(self, u: int, v: int) -> None:
+        self._adj.setdefault(u, {})[v] = None
+        self._adj.setdefault(v, {})[u] = None
+
+    def remove_edge(self, u: int, v: int) -> None:
+        del self._adj[u][v]
+        del self._adj[v][u]
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self._adj.get(u, ())
+
+    def nodes(self) -> List[int]:
+        return list(self._adj)
+
+    def neighbors(self, node: int) -> Iterator[int]:
+        return iter(self._adj[node])
+
+    def edges(self) -> Iterator[Tuple[int, int]]:
+        """Each edge once, as ``(u, v)`` with ``u`` the endpoint first in
+        node order."""
+        seen: Set[int] = set()
+        for u, nbrs in self._adj.items():
+            for v in nbrs:
+                if v not in seen:
+                    yield u, v
+            seen.add(u)
+
+    def number_of_nodes(self) -> int:
+        return len(self._adj)
+
+    def number_of_edges(self) -> int:
+        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+
+    def reachable(self, source: int) -> Set[int]:
+        """Every node connected to ``source`` (breadth-first)."""
+        seen = {source}
+        frontier = deque([source])
+        while frontier:
+            for v in self._adj[frontier.popleft()]:
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return seen
+
+    def is_connected(self) -> bool:
+        """True if every node is reachable from every other (the graph
+        must have at least one node)."""
+        return len(self.reachable(next(iter(self._adj)))) == len(self._adj)
+
+    def shortest_path(
+        self, source: int, target: int, weight: Callable[[int, int], float]
+    ) -> List[int]:
+        """Dijkstra path from ``source`` to ``target``.
+
+        Ties resolve as in ``networkx.dijkstra_path``: the frontier is
+        ordered by (distance, push order), and a node keeps the first
+        predecessor that reached its final distance.
+        """
+        dist: Dict[int, float] = {}
+        best = {source: 0.0}
+        pred: Dict[int, int] = {}
+        tie = count()
+        frontier = [(0.0, next(tie), source)]
+        while frontier:
+            d, _, u = heapq.heappop(frontier)
+            if u in dist:
+                continue
+            dist[u] = d
+            if u == target:
+                break
+            for v in self._adj[u]:
+                if v in dist:
+                    continue
+                dv = d + weight(u, v)
+                if v not in best or dv < best[v]:
+                    best[v] = dv
+                    pred[v] = u
+                    heapq.heappush(frontier, (dv, next(tie), v))
+        if target not in dist:
+            raise ValueError(f"no path from {source} to {target}")
+        path = [target]
+        while path[-1] != source:
+            path.append(pred[path[-1]])
+        path.reverse()
+        return path
 
 
 class RoadNetwork:
@@ -34,10 +137,10 @@ class RoadNetwork:
     length.  The graph is guaranteed connected.
     """
 
-    def __init__(self, graph: nx.Graph, positions: Dict[int, Point]):
+    def __init__(self, graph: RoadGraph, positions: Dict[int, Point]):
         if graph.number_of_edges() == 0:
             raise ValueError("road network needs at least one edge")
-        if not nx.is_connected(graph):
+        if not graph.is_connected():
             raise ValueError("road network must be connected")
         self.graph = graph
         self.positions = positions
@@ -70,7 +173,7 @@ class RoadNetwork:
             raise ValueError("drop_fraction must be in [0, 1)")
         rng = random.Random(seed)
         cell = 1.0 / (side - 1)
-        graph = nx.Graph()
+        graph = RoadGraph()
         positions: Dict[int, Point] = {}
         for row in range(side):
             for col in range(side):
@@ -97,7 +200,7 @@ class RoadNetwork:
             if dropped >= to_drop:
                 break
             graph.remove_edge(u, v)
-            if nx.has_path(graph, u, v):
+            if v in graph.reachable(u):
                 dropped += 1
             else:
                 graph.add_edge(u, v)

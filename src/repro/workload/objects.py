@@ -144,22 +144,16 @@ class NetworkMovingObjects:
     def _plan_route(self, origin: int) -> List[int]:
         """Shortest path to a freshly drawn destination (Brinkhoff's
         destination-based movement)."""
-        import networkx as nx
-
-        nodes = list(self.network.graph.nodes())
+        nodes = self.network.graph.nodes()
         for _ in range(8):
             destination = self.rng.choice(nodes)
             if destination != origin:
                 break
         else:
             return []
-        path = nx.shortest_path(
-            self.network.graph,
-            origin,
-            destination,
-            weight=lambda u, v, _d: self.network.edge_length(u, v),
+        return self.network.graph.shortest_path(
+            origin, destination, self.network.edge_length
         )
-        return list(path)
 
     def _advance(self, state: _ObjectState, distance: float,
                  oid: int = -1) -> None:

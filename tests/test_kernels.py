@@ -232,26 +232,23 @@ def test_all_ties_degenerate_keeps_historical_seeds():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", [3, 17, 88])
-def test_mirror_matches_traversal_results_and_io(seed):
-    """The grid mirror must return the same entries as a tree walk and
-    charge exactly the same counted leaf reads, query by query."""
+def _mirror_tree(seed, n_objects=800):
+    """A RUM tree of small squares with every fifth one moved once, plus
+    40 query windows; returns ``(rng, tree, rects, windows)``."""
     from repro.experiments.harness import make_tree
-    from repro.rtree.base import MIRROR_QUERY_STREAK
 
     rng = random.Random(seed)
     tree = make_tree("rum_touch", node_size=2048)
     rects = {}
-    for oid in range(800):
+    for oid in range(n_objects):
         x, y = rng.random() * 0.99, rng.random() * 0.99
         rects[oid] = Rect(x, y, x + 0.004, y + 0.004)
         tree.insert_object(oid, rects[oid])
-    for oid in range(0, 800, 5):
+    for oid in range(0, n_objects, 5):
         x, y = rng.random() * 0.99, rng.random() * 0.99
         new = Rect(x, y, x + 0.004, y + 0.004)
         tree.update_object(oid, rects[oid], new)
         rects[oid] = new
-
     side = 0.02
     windows = [
         Rect(x, y, x + side, y + side)
@@ -260,6 +257,26 @@ def test_mirror_matches_traversal_results_and_io(seed):
             for _ in range(40)
         )
     ]
+    return rng, tree, rects, windows
+
+
+def _reset_mirror(tree):
+    tree._mirror = None
+    tree._mirror_streak = 0
+    tree._mirror_streak_version = -1
+
+
+def _brute_force(rects, window):
+    return sorted(
+        (oid, r) for oid, r in rects.items() if r.intersects(window)
+    )
+
+
+@pytest.mark.parametrize("seed", [3, 17, 88])
+def test_mirror_matches_traversal_results_and_io(seed):
+    """The grid mirror must return the same entries as a tree walk and
+    charge exactly the same counted leaf reads, query by query."""
+    rng, tree, rects, windows = _mirror_tree(seed)
     stats = tree.buffer.stats
 
     def measure(window):
@@ -269,17 +286,20 @@ def test_mirror_matches_traversal_results_and_io(seed):
 
     truth = []
     for window in windows:
-        tree._mirror = None
-        tree._mirror_streak = 0
-        tree._mirror_streak_version = -1
+        _reset_mirror(tree)
         truth.append(measure(window))
 
-    tree._mirror = None
-    tree._mirror_streak = 0
-    tree._mirror_streak_version = -1
-    for window in windows[:MIRROR_QUERY_STREAK]:
-        tree.search(window)
+    # Drive one mutation-free streak until the traversals have touched
+    # as many nodes as the tree has pages; every query adds at least one
+    # node, so the rule fires within ``num_pages() + 1`` queries.
+    _reset_mirror(tree)
+    pages = tree.buffer.disk.num_pages()
+    for i in range(pages + 1):
+        if tree._mirror is not None:
+            break
+        tree.search(windows[i % len(windows)])
     assert tree._mirror is not None, "mirror not built after streak"
+    assert tree._mirror_streak >= pages
     for window, (expect_results, expect_io) in zip(windows, truth):
         got_results, got_io = measure(window)
         assert got_results == expect_results
@@ -293,3 +313,42 @@ def test_mirror_matches_traversal_results_and_io(seed):
     assert tree._mirror.version != tree.buffer.version
     tree.search(windows[0])
     assert tree._mirror is None
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_short_streaks_never_build_a_mirror(seed):
+    """Interleaved traffic whose every mutation-free streak touches fewer
+    nodes than the tree has pages must never pay for a build, and must
+    still give the right answers.  The streaks are 20 queries long, so a
+    fixed query-count threshold below that would build every time."""
+    rng, tree, rects, windows = _mirror_tree(seed, n_objects=3000)
+    _reset_mirror(tree)
+    pages = tree.buffer.disk.num_pages()
+    for i in range(200):
+        window = windows[i % len(windows)]
+        assert sorted(tree.search(window)) == _brute_force(rects, window)
+        if i % 20 == 19:
+            assert tree._mirror_streak < pages
+            oid = rng.randrange(3000)
+            x, y = rng.random() * 0.99, rng.random() * 0.99
+            new = Rect(x, y, x + 0.004, y + 0.004)
+            tree.update_object(oid, rects[oid], new)
+            rects[oid] = new
+    assert tree.mirror_builds == 0
+    assert tree._mirror is None
+
+
+def test_read_only_stream_builds_the_mirror_once():
+    """A read-only stream builds exactly one mirror and is served from it
+    thereafter; the build tally is exported as a lazy gauge."""
+    from repro.obs import Observability
+
+    _rng, tree, rects, windows = _mirror_tree(5)
+    obs = Observability(level="metrics")
+    tree.attach_obs(obs)
+    for i in range(3 * tree.buffer.disk.num_pages()):
+        window = windows[i % len(windows)]
+        assert sorted(tree.search(window)) == _brute_force(rects, window)
+    assert tree.mirror_builds == 1
+    assert tree._served_by_mirror
+    assert obs.registry.snapshot().gauges["tree.mirror_builds"] == 1

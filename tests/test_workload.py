@@ -1,5 +1,6 @@
 """Tests for the road network, moving-object generators, queries, traces."""
 
+import hashlib
 import math
 import random
 
@@ -60,6 +61,28 @@ class TestRoadNetwork:
             u, v, offset = network.random_position(rng)
             assert network.graph.has_edge(u, v)
             assert 0.0 <= offset <= network.edge_length(u, v) + 1e-12
+
+    def test_default_workload_stream_is_pinned(self):
+        """The default network's edge list, the 20k-object population
+        and the first 5,000 walk-mode updates hash to a fixed digest, so
+        any change to the graph's iteration order or the walk shows up
+        here before it silently changes every experiment's input."""
+        digest = hashlib.sha256()
+        for u, v in RoadNetwork.grid().graph.edges():
+            digest.update(f"{u},{v};".encode())
+        workload = default_network_workload(
+            20_000, moving_distance=0.01, seed=1
+        )
+        for oid, r in workload.initial():
+            digest.update(repr((oid, r.xmin, r.ymin, r.xmax, r.ymax)).encode())
+        for oid, old, new in workload.updates(5000):
+            digest.update(repr((
+                oid, old.xmin, old.ymin, old.xmax, old.ymax,
+                new.xmin, new.ymin, new.xmax, new.ymax,
+            )).encode())
+        assert digest.hexdigest() == (
+            "47e3b503bcb98140f5eda3db2ce2e06dacf07d0ff1e7a6b326834a40d1fb6169"
+        )
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -244,6 +267,32 @@ class TestDestinationRouting:
         # modes must move the population materially.
         assert displacement["walk"] > 0.5
         assert displacement["route"] > 0.5
+
+    def test_route_length_matches_networkx(self):
+        """Route planning finds shortest paths: each planned route walks
+        existing edges and is as long as networkx's Dijkstra says."""
+        nx = pytest.importorskip("networkx")
+        network = RoadNetwork.grid(side=10, seed=36)
+        reference = nx.Graph()
+        for u, v in network.graph.edges():
+            reference.add_edge(u, v, length=network.edge_length(u, v))
+        rng = random.Random(37)
+        nodes = network.graph.nodes()
+        for _ in range(50):
+            source, target = rng.choice(nodes), rng.choice(nodes)
+            path = network.graph.shortest_path(
+                source, target, network.edge_length
+            )
+            assert path[0] == source and path[-1] == target
+            assert all(
+                network.graph.has_edge(a, b) for a, b in zip(path, path[1:])
+            )
+            length = sum(
+                network.edge_length(a, b) for a, b in zip(path, path[1:])
+            )
+            assert length == pytest.approx(nx.shortest_path_length(
+                reference, source, target, weight="length"
+            ))
 
     def test_unknown_routing_rejected(self):
         network = RoadNetwork.grid(side=4)
